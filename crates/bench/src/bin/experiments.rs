@@ -1,7 +1,7 @@
 //! Command-line experiment harness: regenerates every table and figure of
 //! the paper. See `inca_bench::usage` for the artifact list.
 
-use inca_bench::{list_text, run_ids_full, usage, NET_ID, SERVE_ID};
+use inca_bench::{drifted, list_text, run_ids_full, usage, NET_ID, SERVE_ID};
 use inca_core::ExperimentOpts;
 use std::process::ExitCode;
 
@@ -22,6 +22,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = true;
     let mut json_path: Option<String> = None;
+    let mut check_path: Option<String> = None;
     let mut ids: Vec<&str> = Vec::new();
 
     let mut it = args.iter();
@@ -32,6 +33,13 @@ fn main() -> ExitCode {
                 Some(p) => json_path = Some(p.clone()),
                 None => {
                     eprintln!("--json requires a path");
+                    return ExitCode::FAILURE;
+                }
+            },
+            "--check" => match it.next() {
+                Some(p) => check_path = Some(p.clone()),
+                None => {
+                    eprintln!("--check requires a path");
                     return ExitCode::FAILURE;
                 }
             },
@@ -113,6 +121,23 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("serialization failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    // `--check`: every result must equal its entry in a committed
+    // `--json` file, so a committed artifact cannot drift silently.
+    if let Some(path) = check_path {
+        let drift =
+            std::fs::read_to_string(&path).map_err(|e| e.to_string()).and_then(|b| drifted(&results, &b));
+        match drift {
+            Ok(ids) if ids.is_empty() => eprintln!("{} result(s) match {path}", results.len()),
+            Ok(ids) => {
+                eprintln!("results differ from {path}: {}", ids.join(", "));
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("cannot check against {path}: {e}");
                 return ExitCode::FAILURE;
             }
         }

@@ -8,6 +8,7 @@
 //! cargo run -p inca-bench --bin experiments -- fig11 fig14
 //! cargo run -p inca-bench --bin experiments -- --full table6
 //! cargo run -p inca-bench --bin experiments -- --json out.json all
+//! cargo run -p inca-bench --bin experiments -- --check results/results_quick.json table1 table6
 //! ```
 //!
 //! The Criterion benches (`cargo bench -p inca-bench`) time the analytic
@@ -221,6 +222,23 @@ pub fn run_ids_full<'a>(
     Ok(out)
 }
 
+/// The ids of `results` whose JSON entry differs from the entry with the
+/// same id in `baseline` (an `experiments --json` file), or that it lacks.
+///
+/// # Errors
+///
+/// Returns a message when `baseline` is not a JSON array of results.
+pub fn drifted(results: &[ExperimentResult], baseline: &str) -> Result<Vec<String>, String> {
+    let baseline = serde_json::from_str(baseline).map_err(|e| e.to_string())?;
+    let entries = baseline.as_array().ok_or("baseline is not a JSON array")?;
+    let committed = |id: &str| entries.iter().find(|e| e["id"].as_str() == Some(id));
+    Ok(results
+        .iter()
+        .filter(|r| committed(&r.id).map(ToString::to_string) != Some(json!(r).to_string()))
+        .map(|r| r.id.clone())
+        .collect())
+}
+
 /// The `--list` output: every runnable experiment id with its
 /// description, one per line.
 #[must_use]
@@ -239,7 +257,7 @@ pub fn list_text() -> String {
 #[must_use]
 pub fn usage() -> String {
     let mut s = String::from(
-        "usage: experiments [--full] [--json PATH] <id>... | all\n       experiments --list | list\n\navailable experiments:\n",
+        "usage: experiments [--full] [--json PATH] [--check PATH] <id>... | all\n       experiments --list | list\n\navailable experiments:\n",
     );
     for line in list_text().lines() {
         s.push_str("  ");
@@ -258,6 +276,18 @@ mod tests {
         let r = run_ids(["table5"], &ExperimentOpts { quick: true }).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].id, "table5");
+    }
+
+    #[test]
+    fn drift_check_compares_entries_by_id() {
+        let r = run_ids(["table5"], &ExperimentOpts { quick: true }).unwrap();
+        let baseline = serde_json::to_string_pretty(&vec![json!(r[0])]).unwrap();
+        assert!(drifted(&r, &baseline).unwrap().is_empty());
+        let mut changed = r.clone();
+        changed[0].text.push('!');
+        assert_eq!(drifted(&changed, &baseline).unwrap(), ["table5"]);
+        assert_eq!(drifted(&r, "[]").unwrap(), ["table5"]);
+        assert!(drifted(&r, "{}").is_err());
     }
 
     #[test]

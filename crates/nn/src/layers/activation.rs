@@ -19,34 +19,23 @@ impl Relu {
     }
 }
 
+/// `v` where `alive`, `+0.0` elsewhere.
+fn gate(v: &[f32], alive: &[bool]) -> Vec<f32> {
+    v.iter().zip(alive).map(|(&v, &alive)| if alive { v } else { 0.0 }).collect()
+}
+
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut out = x.clone();
-        let mask: Vec<bool> = out
-            .data_mut()
-            .iter_mut()
-            .map(|v| {
-                let alive = *v > 0.0;
-                if !alive {
-                    *v = 0.0;
-                }
-                alive
-            })
-            .collect();
-        self.mask = Some(mask);
-        out
+        let mask = self.mask.get_or_insert_with(Vec::new);
+        mask.clear();
+        mask.extend(x.data().iter().map(|&v| v > 0.0));
+        Tensor::from_vec(gate(x.data(), mask), x.shape())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self.mask.as_ref().expect("backward before forward"); // documented Layer contract. lint: allow(panic-path)
         assert_eq!(grad_out.len(), mask.len(), "gradient element count mismatch");
-        let mut g = grad_out.clone();
-        for (v, &alive) in g.data_mut().iter_mut().zip(mask) {
-            if !alive {
-                *v = 0.0; // the AND gate
-            }
-        }
-        g
+        Tensor::from_vec(gate(grad_out.data(), mask), grad_out.shape()) // the AND gate
     }
 
     fn name(&self) -> &'static str {

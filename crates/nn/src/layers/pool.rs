@@ -29,43 +29,43 @@ impl MaxPool2d {
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         let [n, c, h, w] = dims4_checked(x, "MaxPool2d");
-        let oh = (h - self.k) / self.stride + 1;
-        let ow = (w - self.k) / self.stride + 1;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = Vec::with_capacity(n * c * oh * ow);
-        for ni in 0..n {
-            for ci in 0..c {
-                for y in 0..oh {
-                    for xo in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for kh in 0..self.k {
-                            for kw in 0..self.k {
-                                let iy = y * self.stride + kh;
-                                let ix = xo * self.stride + kw;
-                                let v = x.at4(ni, ci, iy, ix);
-                                if v > best {
-                                    best = v;
-                                    best_idx = ((ni * c + ci) * h + iy) * w + ix;
-                                }
+        let (k, s) = (self.k, self.stride);
+        let oh = (h - k) / s + 1;
+        let ow = (w - k) / s + 1;
+        let mut out = Vec::with_capacity(n * c * oh * ow);
+        let (shape, argmax) = self.cache.get_or_insert_with(Default::default);
+        shape.clear();
+        shape.extend_from_slice(x.shape());
+        argmax.clear();
+        for (base, plane) in (0..).step_by(h * w).zip(x.data().chunks_exact(h * w)) {
+            for y in 0..oh {
+                for xo in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0;
+                    for kh in 0..k {
+                        let row = (y * s + kh) * w + xo * s;
+                        for (i, &v) in (row..).zip(&plane[row..row + k]) {
+                            if v > best {
+                                best = v;
+                                best_idx = base + i;
                             }
                         }
-                        *out.at4_mut(ni, ci, y, xo) = best;
-                        argmax.push(best_idx);
                     }
+                    out.push(best);
+                    argmax.push(best_idx);
                 }
             }
         }
-        self.cache = Some((x.shape().to_vec(), argmax));
-        out
+        Tensor::from_vec(out, &[n, c, oh, ow])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let (shape, argmax) = self.cache.as_ref().expect("backward before forward"); // documented Layer contract. lint: allow(panic-path)
         assert_eq!(grad_out.len(), argmax.len(), "gradient element count mismatch");
         let mut grad_in = Tensor::zeros(shape);
+        let gi = grad_in.data_mut();
         for (g, &idx) in grad_out.data().iter().zip(argmax) {
-            grad_in.data_mut()[idx] += g;
+            gi[idx] += g;
         }
         grad_in
     }

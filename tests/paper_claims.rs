@@ -121,3 +121,52 @@ fn iso_capacity() {
     let base = ArchConfig::baseline_paper();
     assert_eq!(inca.cells_per_chip(), base.cells_per_chip());
 }
+
+/// Tables I and VI come out of training, so a change in any float
+/// reduction order on the training path can move them. Pin a small
+/// one-epoch run bit for bit (values computed with the scalar conv loops
+/// the kernels replaced), so such drift fails `cargo test`. Accuracies
+/// move in steps of one test sample and quantised weights absorb
+/// ulp-level changes, so the loss and trained float weights are pinned
+/// too.
+#[test]
+fn training_results_are_bit_exact() {
+    use inca::nn::{
+        layers, Loss, Network, NoiseInjection, QuantConfig, SyntheticDataset, TrainConfig, Trainer,
+    };
+    use inca::{noise_accuracy_row, quantization_accuracy, AccuracyConfig};
+
+    let cfg = AccuracyConfig { samples: 160, side: 8, classes: 4, epochs: 1, lr: 0.08, seed: 5 };
+    let row = noise_accuracy_row(&cfg, 0.05);
+    let accuracies = [quantization_accuracy(&cfg, 8, 4), row.weight_noise_acc, row.activation_noise_acc];
+    assert_eq!(accuracies.map(f32::to_bits), [78.125f32, 84.375, 78.125].map(f32::to_bits), "{accuracies:?}");
+
+    // The same network and trainer `AccuracyConfig` uses, at full precision.
+    let mut net = Network::new();
+    net.push(layers::Conv2d::new(1, 8, 3, 1, 1, cfg.seed));
+    net.push(layers::Relu::new());
+    net.push(layers::MaxPool2d::new(2, 2));
+    net.push(layers::Conv2d::new(8, 16, 3, 1, 1, cfg.seed + 1));
+    net.push(layers::Relu::new());
+    net.push(layers::Flatten::new());
+    net.push(layers::Linear::new(16 * 4 * 4, cfg.classes, cfg.seed + 2));
+    let data = SyntheticDataset::generate(cfg.samples, cfg.side, cfg.classes, cfg.seed);
+    let stats = Trainer::new(TrainConfig {
+        epochs: cfg.epochs,
+        lr: cfg.lr,
+        batch_size: 16,
+        train_fraction: 0.8,
+        noise: NoiseInjection::none(),
+        quant: QuantConfig::full_precision(),
+        seed: cfg.seed,
+    })
+    .fit(&mut net, &data, Loss::CrossEntropy);
+    // FNV-1a over the bit patterns of every trained weight and bias.
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    net.map_weights(&mut |w| {
+        digest = (digest ^ u64::from(w.to_bits())).wrapping_mul(0x100_0000_01b3);
+        w
+    });
+    assert_eq!(stats.epoch_losses[0].to_bits(), 0.905_402_3f32.to_bits(), "loss {:?}", stats.epoch_losses);
+    assert_eq!(digest, 0x4656_a88e_e45d_3668, "trained weights digest {digest:#x}");
+}
