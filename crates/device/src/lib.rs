@@ -12,7 +12,9 @@
 //!   the paper's accuracy study (§V-B7, Table VI),
 //! * [`ProgrammingModel`] — nonlinearity/asymmetry of conductance updates,
 //! * [`EnduranceTracker`] — per-cell write counting for the endurance
-//!   discussion of §VI.
+//!   discussion of §VI,
+//! * [`simd`] — the runtime AVX2 dispatch shared by the workspace's vector
+//!   kernels.
 //!
 //! All electrical constants default to the paper's Table II "Circuit" rows
 //! and are collected in [`DeviceParams`].
@@ -29,7 +31,7 @@
 //! assert!(current > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)] // relaxed from forbid: `simd` opts in for its AVX2 dispatch
 #![warn(missing_docs)]
 
 mod cell;
@@ -39,6 +41,7 @@ mod noise;
 mod params;
 mod programming;
 mod shared_endurance;
+pub mod simd;
 mod stacking;
 mod structure;
 

@@ -2,7 +2,8 @@
 
 use inca_device::{DeviceParams, NoiseModel, ProgrammingModel, RramCell};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     /// Any programmed level within range must round-trip through the
@@ -83,5 +84,64 @@ proptest! {
             cell.program_level((i % 2) as u32, 1, &params);
         }
         prop_assert_eq!(cell.write_count(), n as u64);
+    }
+}
+
+/// The IEEE edge cases mixed into [`noisy_input`].
+const EDGE_VALUES: [f32; 11] = [
+    0.0,
+    -0.0,
+    1e-45,
+    -3e-40,
+    f32::MIN_POSITIVE,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+    1e30,
+    -1e30,
+    1.0,
+];
+
+/// `len` values, mostly ordinary magnitudes with one in four an edge case.
+fn noisy_input(len: usize, rng: &mut StdRng) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            if rng.gen_range(0..4) == 0 {
+                EDGE_VALUES[rng.gen_range(0..EDGE_VALUES.len())]
+            } else {
+                rng.gen_range(-4.0f32..4.0)
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `apply_slice`'s polynomial fast path is bit-identical to the libm
+    /// `apply` loop and leaves the RNG in the same state, in both modes,
+    /// across the 256-element chunk edges.
+    #[test]
+    fn apply_slice_matches_per_element_apply(
+        len in 0usize..700,
+        sigma in 0.0f64..0.1,
+        relative in any::<bool>(),
+        zero_sigma in 0u8..8,
+        seed in any::<u64>(),
+    ) {
+        let sigma = if zero_sigma == 0 { 0.0 } else { sigma };
+        let noise = if relative { NoiseModel::relative(sigma) } else { NoiseModel::absolute(sigma) };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut fast = noisy_input(len, &mut rng);
+        let mut reference = fast.clone();
+        let mut fast_rng = rng.clone();
+        for v in &mut reference {
+            *v = noise.apply(f64::from(*v), &mut rng) as f32;
+        }
+        noise.apply_slice(&mut fast, &mut fast_rng);
+        for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(f.to_bits(), r.to_bits(), "element {} of {}: {} vs {}", i, len, f, r);
+        }
+        prop_assert_eq!(fast_rng.next_u64(), rng.next_u64());
     }
 }

@@ -67,18 +67,24 @@ impl NoiseInjection {
             return;
         }
         let sigma = self.model.sigma;
+        let mut weights = Vec::new();
         for layer in net.layers_mut() {
-            // First pass: the layer's full-scale weight magnitude.
+            // Gather the layer's weights and its full-scale magnitude in one
+            // pass, perturb them as a slice, scatter them back in the same
+            // visiting order: the draws match a per-weight `apply`.
+            weights.clear();
             let mut scale = 0.0f32;
             layer.map_weights(&mut |w| {
                 scale = scale.max(w.abs());
+                weights.push(w);
                 w
             });
             if scale == 0.0 {
                 continue;
             }
-            let abs = NoiseModel::absolute(sigma * f64::from(scale));
-            layer.map_weights(&mut |w| abs.apply(f64::from(w), rng) as f32);
+            NoiseModel::absolute(sigma * f64::from(scale)).apply_slice(&mut weights, rng);
+            let mut noisy = weights.iter();
+            layer.map_weights(&mut |w| noisy.next().copied().unwrap_or(w));
         }
     }
 

@@ -3,7 +3,7 @@
 //! identities, and tensor algebra.
 
 use inca_nn::layers::{self, Layer as _};
-use inca_nn::{Loss, Tensor};
+use inca_nn::{Loss, QuantConfig, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -122,5 +122,38 @@ proptest! {
         }
         let r = a.clone().reshaped(&[24]).reshaped(&[2, 3, 4]);
         prop_assert_eq!(r, a);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The vectorized activation-quantization kernel is bit-identical to
+    /// scalar `quantize_symmetric`, including NaN, signed zeros, the grid
+    /// ends and values beyond them.
+    #[test]
+    fn quantize_slice_matches_scalar(
+        bits in 1u8..=8,
+        range in 1e-3f32..10.0,
+        len in 0usize..300,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let edges = [f32::NAN, -f32::NAN, 0.0, -0.0, range, -range, 2.0 * range, -3.0 * range, 1e30, -1e30];
+        let values: Vec<f32> = (0..len)
+            .map(|_| {
+                if rng.gen_range(0..4) == 0 {
+                    edges[rng.gen_range(0..edges.len())]
+                } else {
+                    rng.gen_range(-1.5 * range..1.5 * range)
+                }
+            })
+            .collect();
+        let mut fast = values.clone();
+        QuantConfig::quantize_symmetric_slice(&mut fast, range, bits);
+        for (i, (&v, f)) in values.iter().zip(&fast).enumerate() {
+            let scalar = QuantConfig::quantize_symmetric(v, range, bits);
+            prop_assert_eq!(f.to_bits(), scalar.to_bits(), "element {} = {}: {} vs {}", i, v, f, scalar);
+        }
     }
 }

@@ -6,17 +6,27 @@
 //! `BENCH_hw_exec.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Counting per thread keeps the test
+    /// harness and concurrently running tests out of the count; the `const`
+    /// initializer means the counter itself never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no effect on allocation behaviour.
+// thread-local cell with no effect on allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: never panic inside the allocator.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: same layout contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -31,9 +41,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 #[test]

@@ -12,12 +12,12 @@
 //!   accumulators so the backend can vectorize or at least pipeline it),
 //!   used on non-x86 targets and pre-AVX2 x86 parts.
 //!
-//! Dispatch is decided once (`is_x86_feature_detected!` cached in a
-//! [`OnceLock`]) and is observable through [`active_impl`], which the
-//! bench artifact records. All implementations compute exact integer
-//! popcounts, so the choice can never change an output bit — pinned by
-//! the tests at the bottom of this file and the engine-level parity
-//! proptests.
+//! Dispatch follows the workspace's one cached AVX2 detection,
+//! [`inca_device::simd::avx2_available`], and is observable through
+//! [`active_impl`], which the bench artifact records. All
+//! implementations compute exact integer popcounts, so the choice can
+//! never change an output bit — pinned by the tests at the bottom of
+//! this file and the engine-level parity proptests.
 //!
 //! Two entry points cover the engines' needs:
 //!
@@ -34,37 +34,21 @@
 //!   makes small (3×3) kernels SIMD-wide: the vector unit sees 24+
 //!   contiguous words instead of 3.
 //!
-//! This module is the only `unsafe` code in the workspace; every unsafe
-//! block carries a `// SAFETY:` comment, enforced by the `inca-lint`
-//! `safety-comment` rule.
+//! Together with `inca_device::simd`, whose dispatch runs the vectorized
+//! noise and quantization kernels, this module holds the workspace's
+//! `unsafe` code; every unsafe block carries a `// SAFETY:` comment,
+//! enforced by the `inca-lint` `safety-comment` rule.
 
 #![allow(unsafe_code)] // the std::arch path below; see module docs
 
-use std::sync::OnceLock;
+#[cfg(target_arch = "x86_64")]
+use inca_device::simd::avx2_available;
 
 /// Which implementation [`and_popcount`]/[`and_popcount_lanes`] dispatch
 /// to on this host: `"avx2"` or `"portable"`.
 #[must_use]
 pub fn active_impl() -> &'static str {
-    if avx2_available() {
-        "avx2"
-    } else {
-        "portable"
-    }
-}
-
-/// Cached runtime AVX2 detection (one `cpuid` for the process lifetime).
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx2_available() -> bool {
-    // Keep the OnceLock import used on every target.
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| false)
+    inca_device::simd::active_impl()
 }
 
 /// `Σ popcount(x_i & w_i)` over two equal-length word slices.
